@@ -12,8 +12,8 @@
 //! * **Shared aggregate storm** — 60 watchers hold `sum`/`avg`/`min`/
 //!   `max` accumulator thresholds over the *same* window. All sit at the
 //!   same delta cursor between driver firings, so the first repair each
-//!   round composes the log suffix and the rest consume it from the
-//!   per-transaction compose cache (`incr_shared_hits`).
+//!   round asks the transition log for the suffix and the rest share it
+//!   (`incr_shared_hits`).
 //!
 //! Acceptance bars, asserted in-bench before criterion runs:
 //!
@@ -197,7 +197,7 @@ fn wide_snapshot() {
 
     // The shared cursor must fan out: between driver firings all 60
     // aggregate watchers repair from the same log position, so each round
-    // serves all but the first from the compose cache.
+    // shares one log suffix among all but the first.
     let reconsiderations = (AGG_WATCHERS as u64) * (AGG_DEPTH as u64 - 1);
     assert!(
         agg_stats.incr_shared_hits >= reconsiderations / 2,

@@ -27,17 +27,17 @@ use setrules_storage::{
 use setrules_wal::{WalConfig, WalRecord};
 
 use crate::durability::{wal_log_effect, WalState};
-use crate::effect::TransitionEffect;
 use crate::error::RuleError;
 use crate::events::{EngineEvent, EventBus, EventSink};
-use crate::incremental::{refresh_term, DeltaSource};
+use crate::incremental::refresh_term;
 use crate::external::{ActionCtx, ExternalAction};
 use crate::priority::PriorityGraph;
 use crate::rule::{CompiledAction, Rule, RuleId};
 use crate::selection::{select_rule, SelectionStrategy, TriggerMemo};
 use crate::stats::{EngineStats, TxnStats};
 use crate::transinfo::TransInfo;
-use crate::transition_tables::{RuleWindowProvider, RuleWindowRef};
+use crate::transition_tables::RuleWindowRef;
+use crate::window::TransitionLog;
 
 /// Resolve the incremental-evaluation knob: a pinned config value wins,
 /// else the `SETRULES_INCR` environment variable (`0`/`false`/`off`/`no`
@@ -234,9 +234,9 @@ pub enum ExecOutcome {
 
 struct TxnState {
     mark: UndoMark,
-    /// Per-rule composite windows (`R.trans-info` of Fig. 1), parallel to
-    /// `RuleSystem::rules`.
-    rule_infos: Vec<TransInfo>,
+    /// Every transition of the transaction, once; each rule's composite
+    /// window (`R.trans-info` of Fig. 1) is a range of it.
+    log: TransitionLog,
     /// External changes since the last rule processing pass.
     pending: TransInfo,
     trace: Vec<FiredRule>,
@@ -244,21 +244,6 @@ struct TxnState {
     last_output: Option<Relation>,
     /// Cumulative counters at transaction begin, for outcome deltas.
     base: TxnStats,
-    /// Transaction-wide incremental delta log: one projected `[I, D, U]`
-    /// effect per transition, appended at the `apply_transition` choke
-    /// point. A rule's memo at cursor `seq` repairs from the composition
-    /// of `delta_log[seq..]`; that composition is rule-independent, so it
-    /// is shared through `compose_cache`.
-    delta_log: Vec<TransitionEffect>,
-    /// suffix start → composed effect; cleared whenever `delta_log`
-    /// grows. A hit means another rule at the same cursor already folded
-    /// the suffix this round (`incr_shared_hits`).
-    compose_cache: HashMap<usize, Arc<TransitionEffect>>,
-    /// Per-rule window generation, parallel to `rule_infos`. Window
-    /// restarts (acting rule, `SinceLastTriggering` re-trigger, footnote-8
-    /// `SinceLastConsidered` clear) bump it, invalidating that rule's
-    /// memo cursors without touching the shared log.
-    window_gens: Vec<u64>,
     /// Monotone transaction id (from `RuleSystem::incr_epoch`): cursors
     /// from a previous transaction never validate against this one.
     epoch: u64,
@@ -835,15 +820,12 @@ impl RuleSystem {
         self.incr_epoch += 1;
         self.txn = Some(TxnState {
             mark: self.db.mark(),
-            rule_infos: vec![TransInfo::new(); self.rules.len()],
+            log: TransitionLog::new(self.rules.len()),
             pending: TransInfo::new(),
             trace: Vec::new(),
             transitions_used: 0,
             last_output: None,
             base: self.full_stats(),
-            delta_log: Vec::new(),
-            compose_cache: HashMap::new(),
-            window_gens: vec![0; self.rules.len()],
             epoch: self.incr_epoch,
         });
         if let Err(e) = self.wal_begin() {
@@ -1144,27 +1126,7 @@ impl RuleSystem {
     /// fresh transaction; a `rollback` action undoes *the rule actions
     /// only* (the deferred external transactions already committed).
     pub fn process_deferred(&mut self) -> Result<TxnOutcome, RuleError> {
-        self.require_no_txn()?;
-        self.events.emit(EngineEvent::TxnBegin);
-        self.incr_epoch += 1;
-        self.txn = Some(TxnState {
-            mark: self.db.mark(),
-            rule_infos: vec![TransInfo::new(); self.rules.len()],
-            pending: TransInfo::new(),
-            trace: Vec::new(),
-            transitions_used: 0,
-            last_output: None,
-            base: self.full_stats(),
-            delta_log: Vec::new(),
-            compose_cache: HashMap::new(),
-            window_gens: vec![0; self.rules.len()],
-            epoch: self.incr_epoch,
-        });
-        if let Err(e) = self.wal_begin() {
-            self.note_statement_failure(&e);
-            self.abort_internal();
-            return Err(e);
-        }
+        self.begin()?;
         // A committed deferred pass leaves no pending window behind: log
         // the cleared window inside this transaction, so a crash before
         // its `Commit` keeps re-presenting the old one on recovery.
@@ -1207,7 +1169,7 @@ impl RuleSystem {
     pub fn current_window(&self, rule: &str) -> Option<&TransInfo> {
         let txn = self.txn.as_ref()?;
         let id = self.by_name.get(rule)?;
-        txn.rule_infos.get(id.0)
+        Some(txn.log.window(id.0))
     }
 
     /// Whether a name-level transition reference falls inside `rule`'s
@@ -1329,7 +1291,7 @@ impl RuleSystem {
                     .filter(|r| {
                         !considered.contains(&r.id)
                             && triggers.check(r.id, || {
-                                r.triggered_by(&self.db, &txn.rule_infos[r.id.0])
+                                r.triggered_by(&self.db, txn.log.window(r.id.0))
                             })
                     })
                     .map(|r| r.id)
@@ -1385,14 +1347,11 @@ impl RuleSystem {
                 self.stats.rule_mut(&name).condition_false += 1;
                 self.events.emit(EngineEvent::RuleConditionFalse { rule: name.clone() });
                 if self.config.retrigger == RetriggerSemantics::SinceLastConsidered {
-                    // Footnote 8: the window restarts at consideration —
-                    // the memo (built against the old window) is stale, so
-                    // bump the window generation to invalidate its cursors.
-                    // The shared delta log is untouched: other rules'
-                    // windows are unbroken and still repair from it.
-                    let txn = self.txn.as_mut().expect("open");
-                    txn.rule_infos[rid.0] = TransInfo::new();
-                    txn.window_gens[rid.0] += 1;
+                    // Footnote 8: the window restarts at consideration.
+                    // Moving its start invalidates the memo cursors built
+                    // against the old window; other rules' windows are
+                    // unbroken and still repair from the shared log.
+                    self.txn.as_mut().expect("open").log.restart(rid.0);
                     triggers.invalidate(rid);
                 }
                 continue;
@@ -1443,7 +1402,7 @@ impl RuleSystem {
                         updated: tinfo.upd.len(),
                     };
                     self.txn.as_mut().expect("open").trace.push(fired);
-                    self.apply_transition(&tinfo, Some(rid));
+                    self.apply_transition(tinfo, Some(rid));
                     considered.clear();
                     triggers.invalidate_all();
                 }
@@ -1467,54 +1426,36 @@ impl RuleSystem {
             updated: pending.upd.len(),
             selected: pending.sel.len(),
         });
-        self.apply_transition(&pending, None);
+        self.apply_transition(pending, None);
     }
 
-    /// Merge a new transition into the per-rule windows (§4.2): the acting
-    /// rule's window becomes exactly this transition; every other rule's
-    /// window is the composition.
-    fn apply_transition(&mut self, tinfo: &TransInfo, acting: Option<RuleId>) {
+    /// Record a new transition in the log (§4.2): the acting rule's
+    /// window restarts at exactly this transition; every other rule's
+    /// window extends by it.
+    fn apply_transition(&mut self, tinfo: TransInfo, acting: Option<RuleId>) {
         let retrigger = self.config.retrigger;
-        // Append this transition's pure `[I, D, U]` effect to the shared
-        // delta log exactly once; every live memo cursor repairs from the
-        // composed suffix at its own position. Rules whose window restarts
-        // below get their generation bumped instead (stale cursors ⇒ next
-        // consideration rebuilds from the fresh window).
-        if self.incremental_enabled() {
-            let eff = tinfo.effect(|t| self.db.schema(t).arity());
-            let txn = self.txn.as_mut().expect("transaction open");
-            txn.delta_log.push(eff);
-            txn.compose_cache.clear();
-        }
         let txn = self.txn.as_mut().expect("transaction open");
         for rule in &self.rules {
             // Fig. 1 emits trans-info maintenance only for rules this
             // transition triggers by itself (plus the acting rule, whose
             // window always restarts).
-            let triggered_by_this = !rule.dropped && rule.triggered_by(&self.db, tinfo);
-            let slot = &mut txn.rule_infos[rule.id.0];
-            if Some(rule.id) == acting {
-                *slot = tinfo.clone();
-                txn.window_gens[rule.id.0] += 1;
+            let triggered_by_this = !rule.dropped && rule.triggered_by(&self.db, &tinfo);
+            // [WF89b]: under `SinceLastTriggering` a transition that alone
+            // triggers the rule restarts its window too.
+            if Some(rule.id) == acting
+                || (retrigger == RetriggerSemantics::SinceLastTriggering && triggered_by_this)
+            {
+                txn.log.restart(rule.id.0);
                 self.events.emit(EngineEvent::TransInfoInit { rule: rule.name.clone() });
-            } else if retrigger == RetriggerSemantics::SinceLastTriggering && triggered_by_this {
-                // [WF89b]: this transition alone re-triggers the rule, so
-                // its window restarts here.
-                *slot = tinfo.clone();
-                txn.window_gens[rule.id.0] += 1;
-                self.events.emit(EngineEvent::TransInfoInit { rule: rule.name.clone() });
-            } else {
-                let was_empty = slot.is_empty();
-                slot.compose(tinfo);
-                if triggered_by_this {
-                    self.events.emit(if was_empty {
-                        EngineEvent::TransInfoInit { rule: rule.name.clone() }
-                    } else {
-                        EngineEvent::TransInfoModify { rule: rule.name.clone() }
-                    });
-                }
+            } else if triggered_by_this {
+                self.events.emit(if txn.log.window(rule.id.0).is_empty() {
+                    EngineEvent::TransInfoInit { rule: rule.name.clone() }
+                } else {
+                    EngineEvent::TransInfoModify { rule: rule.name.clone() }
+                });
             }
         }
+        txn.log.append(tinfo);
     }
 
     /// Evaluate the considered rule's condition, preferring the
@@ -1524,10 +1465,7 @@ impl RuleSystem {
     /// whenever the condition is not incrementalizable. The observable
     /// truth value is identical on either path.
     fn evaluate_condition(&mut self, rid: RuleId, name: &str) -> Result<bool, RuleError> {
-        if self.incr_enabled
-            && self.config.exec_mode == ExecMode::Compiled
-            && self.rules[rid.0].condition.is_some()
-        {
+        if self.incremental_enabled() && self.rules[rid.0].condition.is_some() {
             match self.try_incremental(rid)? {
                 IncOutcome::Answer { truth, mode, rows, shared } => {
                     if mode == "repair" {
@@ -1568,10 +1506,10 @@ impl RuleSystem {
     /// [`FallbackReason`]'s label) or at this evaluation (a dynamic
     /// degrade such as the sum overflow guard) — and the caller must run
     /// the full evaluator. `Answer` is authoritative: `mode` is
-    /// `"repair"` when every term patched from the delta log and
+    /// `"repair"` when every term patched from the transition log and
     /// `"rebuild"` when any memo was (re)populated from the whole window;
     /// `rows` counts probed rows either way, and `shared` reports whether
-    /// any composed delta suffix came from another rule's fold this
+    /// any composed delta suffix was shared with an earlier refresh this
     /// round.
     ///
     /// [`FallbackReason`]: setrules_query::incremental::FallbackReason
@@ -1598,17 +1536,10 @@ impl RuleSystem {
             Err(reason) => return Ok(IncOutcome::Fallback(reason.label())),
         };
         let txn = self.txn.as_mut().expect("transaction open");
-        let window = &txn.rule_infos[rid.0];
-        let mut src = DeltaSource {
-            log: &txn.delta_log,
-            epoch: txn.epoch,
-            wgen: txn.window_gens[rid.0],
-            cache: &mut txn.compose_cache,
-        };
         let db = &self.db;
         let memo = st.memo.get_or_insert_with(|| IncMemo::for_plan(&plan));
         let outcome = plan.evaluate(memo, &mut |_, term, tstate| {
-            refresh_term(db, term, window, &mut src, tstate)
+            refresh_term(db, term, &mut txn.log, rid.0, txn.epoch, tstate)
         })?;
         self.qstats.bump(|s| s.incr_probe_rows += outcome.rows);
         match outcome.verdict {
@@ -1630,7 +1561,7 @@ impl RuleSystem {
             return Ok(true); // omitted ⇒ `if true`
         };
         let txn = self.txn.as_ref().expect("transaction open");
-        let provider = RuleWindowRef { info: &txn.rule_infos[rid.0], licensed: &rule.licensed };
+        let provider = RuleWindowRef { info: txn.log.window(rid.0), licensed: &rule.licensed };
         let cache = setrules_query::SubqueryCache::new();
         let ctx = setrules_query::QueryCtx::with_provider(&self.db, &provider)
             .with_cache(&cache)
@@ -1665,15 +1596,15 @@ impl RuleSystem {
         let threads = self.threads();
         let before = self.qstats.snapshot();
         let result: Result<(), RuleError> = (|| {
+            // Borrow the rule's window directly — `self.db` (mutable) and
+            // `self.txn`/`self.rules` (immutable) are disjoint fields, so
+            // no action, block or external, clones its window.
+            let provider = RuleWindowRef {
+                info: self.txn.as_ref().expect("open").log.window(rid.0),
+                licensed: &self.rules[rid.0].licensed,
+            };
             match action {
                 CompiledAction::Block(ops) => {
-                    // Borrow the rule's window directly — `self.db` (mutable)
-                    // and `self.txn`/`self.rules` (immutable) are disjoint
-                    // fields, so no O(window) clone is needed.
-                    let rule = &self.rules[rid.0];
-                    let txn = self.txn.as_ref().expect("open");
-                    let provider =
-                        RuleWindowRef { info: &txn.rule_infos[rid.0], licensed: &rule.licensed };
                     // `ops` shares the rule-owned allocation (the action clone
                     // is an `Arc` copy), so plan-cache pointer keys see the
                     // same AST addresses on every firing.
@@ -1708,13 +1639,6 @@ impl RuleSystem {
                     }
                 }
             CompiledAction::External(f) => {
-                // External actions hold the provider across arbitrary user
-                // code; give them an owning snapshot of the window.
-                let rule = &self.rules[rid.0];
-                let provider = RuleWindowProvider::licensed(
-                    self.txn.as_ref().expect("open").rule_infos[rid.0].clone(),
-                    rule.licensed.clone(),
-                );
                 let mut ctx = ActionCtx {
                     db: &mut self.db,
                     provider,

@@ -75,9 +75,9 @@ pub enum EngineEvent {
         mode: String,
         /// Rows probed by the repair/rebuild (0 for fallbacks).
         delta_rows: u64,
-        /// Whether any term's composed delta suffix was served from the
-        /// shared per-transaction compose cache (another rule already
-        /// folded it this round).
+        /// Whether any term's composed delta suffix was shared: another
+        /// refresh at the same cursor already asked the transaction's
+        /// transition log for it since the log last grew.
         shared: bool,
     },
     /// The considered rule's condition evaluated to not-true.

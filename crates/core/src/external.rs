@@ -17,7 +17,7 @@ use setrules_sql::parse_op_block;
 use setrules_storage::Database;
 
 use crate::error::RuleError;
-use crate::transition_tables::RuleWindowProvider;
+use crate::transition_tables::RuleWindowRef;
 
 /// A rule action implemented as native code.
 pub trait ExternalAction: Send + Sync {
@@ -41,7 +41,7 @@ where
 /// rule's transition tables).
 pub struct ActionCtx<'a> {
     pub(crate) db: &'a mut Database,
-    pub(crate) provider: RuleWindowProvider,
+    pub(crate) provider: RuleWindowRef<'a>,
     pub(crate) effects: Vec<OpEffect>,
     pub(crate) track_selects: bool,
     /// Set when the action ran DDL (e.g. [`ActionCtx::create_index`]);

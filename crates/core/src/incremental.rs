@@ -4,31 +4,33 @@
 //! `setrules-query::incremental` decides *whether* a condition is
 //! incrementalizable and owns the memo representation; this module owns
 //! the operations that keep a term memo truthful, because they need the
-//! engine's window ([`TransInfo`]) and delta log ([`TransitionEffect`]):
+//! engine's transition log ([`TransitionLog`]):
 //!
 //! * [`refresh_term`] — bring one term's memo up to date: repair it from
-//!   the composed `[I, D, U]` suffix of the transaction's delta log when
-//!   the term's [`Cursor`] is still valid, or rebuild it by one full scan
-//!   of the rule's composite window when it is not (first consideration,
+//!   the composed suffix of the transaction's transition log when the
+//!   term's [`Cursor`] is still valid, or rebuild it by one full scan of
+//!   the rule's composite window when it is not (first consideration,
 //!   new transaction, window restart, or an interrupted repair).
 //!
 //! # Shared delta cursors
 //!
-//! Every transition appends its projected effect to the transaction-wide
-//! `delta_log` exactly once. A term at cursor `seq` needs the composition
-//! (Definition 2.1 ⊕) of `log[seq..]`; that composition is a pure
-//! function of the suffix — independent of which rule asks — so it is
-//! memoized in a per-transaction compose cache keyed by `seq`. When N
-//! rules watch the same views at the same cursor (the 60-watcher storm),
-//! the first refresh folds the suffix and the other N−1 hit the cache
+//! Every transition is appended to the transaction-wide log exactly
+//! once, and a rule's window is the range `log[start..]`. A term at
+//! cursor `seq` needs the composition (Definition 2.1, carried by
+//! [`TransInfo::compose`]) of `log[seq..]`; that composition is a pure
+//! function of the suffix — independent of which rule asks — so the log
+//! serves it once per log length: from a live window start's composition
+//! when one starts there, else folded once and shared. When N rules
+//! watch the same views at the same cursor (the 60-watcher storm), the
+//! first refresh pays for the suffix and the other N−1 share it
 //! (`shared` in [`TermRefresh::Repaired`], `incr_shared_hits` in stats).
-//! The cache is cleared whenever the log grows, keeping entries exact.
 //!
 //! Window *resets* (footnote-8 `SinceLastConsidered` clears, acting-rule
-//! restarts, `SinceLastTriggering` re-triggers) never touch the log: they
-//! bump the rule's window generation, which invalidates that rule's
-//! cursors only. Other rules' suffixes still compose the same effects
-//! over their own unbroken windows, so sharing stays sound.
+//! restarts, `SinceLastTriggering` re-triggers) never touch the log:
+//! the rule's start moves, which invalidates that rule's cursors only
+//! (a cursor records the start it was built against). Other rules'
+//! suffixes still compose the same transitions over their own unbroken
+//! windows, so sharing stays sound.
 //!
 //! # Why repair is sound
 //!
@@ -37,8 +39,8 @@
 //! contribution — depends only on that row's own (old or current)
 //! values. Old values (`deleted` / `old updated` views) are fixed once
 //! recorded in the window; current values change only through operations
-//! that — because every transition is composed into every rule's window
-//! and appended to the delta log at the same choke point
+//! that — because every transition is appended to the one log that both
+//! windows and deltas are ranges of, at one choke point
 //! (`apply_transition`) — are named by the delta's handle sets. Tuple
 //! handles are allocated monotonically and never reused, so a handle in
 //! the delta denotes the same tuple it denoted at memo time. Hence a
@@ -76,8 +78,7 @@
 //! right)`-lexicographic order — the hash join's sorted cursor emission
 //! — over exactly the changed pairs.
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
 use setrules_query::incremental::{
     Cursor, IncTerm, TermKind, TermMemo, TermRefresh, TermState, ViewScan,
@@ -86,8 +87,8 @@ use setrules_query::QueryError;
 use setrules_sql::ast::TransitionKind;
 use setrules_storage::{ColumnId, Database, TableId, TupleHandle, Value};
 
-use crate::effect::TransitionEffect;
 use crate::transinfo::TransInfo;
+use crate::window::TransitionLog;
 
 /// Resolved per-view addressing: the view's table/column names mapped to
 /// catalog ids once per refresh, not per row.
@@ -109,69 +110,39 @@ fn view_ids(db: &Database, view: &ViewScan) -> Result<ViewIds, QueryError> {
     Ok(ViewIds { tid, col })
 }
 
-/// The transaction-wide delta source one refresh round reads from: the
-/// append-only effect log, the validity coordinates (transaction epoch
-/// and this rule's window generation), and the shared compose cache.
-pub struct DeltaSource<'a> {
-    /// One projected effect per transition, in order.
-    pub log: &'a [TransitionEffect],
-    /// The owning transaction's epoch (cursor validity).
-    pub epoch: u64,
-    /// The refreshing rule's current window generation.
-    pub wgen: u64,
-    /// suffix start → composed effect, shared across rules.
-    pub cache: &'a mut HashMap<usize, Arc<TransitionEffect>>,
-}
-
-impl DeltaSource<'_> {
-    /// The composition of `log[from..]`, served from the shared cache
-    /// when another term at the same cursor already folded it. Returns
-    /// `(effect, came_from_cache)`.
-    fn composed(&mut self, from: usize) -> (Arc<TransitionEffect>, bool) {
-        if let Some(d) = self.cache.get(&from) {
-            return (Arc::clone(d), true);
-        }
-        let eff =
-            self.log[from..].iter().fold(TransitionEffect::new(), |acc, e| acc.compose(e));
-        let arc = Arc::new(eff);
-        self.cache.insert(from, Arc::clone(&arc));
-        (arc, false)
-    }
-}
-
-/// Bring one term's memo up to date against the rule's current window,
-/// repairing from the delta-log suffix when the cursor is valid and
-/// rebuilding from the window otherwise. Returns what was done and how
-/// many rows were probed.
-pub fn refresh_term(
+/// Bring one term's memo up to date against `rule`'s current window,
+/// repairing from the log suffix since the term's cursor when the cursor
+/// is valid and rebuilding from the window otherwise. Returns what was
+/// done and how many rows were probed.
+pub(crate) fn refresh_term(
     db: &Database,
     term: &IncTerm,
-    window: &TransInfo,
-    src: &mut DeltaSource<'_>,
+    log: &mut TransitionLog,
+    rule: usize,
+    epoch: u64,
     state: &mut TermState,
 ) -> Result<TermRefresh, QueryError> {
-    let next = Cursor { epoch: src.epoch, wgen: src.wgen, seq: src.log.len() };
-    let valid = state
-        .cursor
-        .is_some_and(|c| c.epoch == src.epoch && c.wgen == src.wgen && c.seq <= src.log.len());
+    let (start, len) = (log.start(rule), log.len());
+    let next = Cursor { epoch, start, seq: len };
+    let valid = state.cursor.is_some_and(|c| c.epoch == epoch && c.start == start && c.seq <= len);
     if valid {
         let from = state.cursor.expect("validated above").seq;
         // Clear the cursor before patching: a probe error mid-repair
         // leaves the memo half-patched, and the cleared cursor forces the
         // next consideration to rebuild instead of trusting it.
         state.cursor = None;
-        let (rows, shared) = if from == src.log.len() {
+        let (rows, shared) = if from == len {
             (0, false) // nothing happened since the last consideration
         } else {
-            let (delta, shared) = src.composed(from);
-            (repair_term(db, term, window, &delta, &mut state.memo)?, shared)
+            let (window, delta, shared) = log.delta_since(rule, from);
+            (repair_term(db, term, window, delta, &mut state.memo)?, shared)
         };
         state.cursor = Some(next);
         Ok(TermRefresh::Repaired { rows, shared })
     } else {
         state.cursor = None;
         state.memo = TermMemo::empty_for(term);
-        let rows = rebuild_term(db, term, window, &mut state.memo)?;
+        let rows = rebuild_term(db, term, log.window(rule), &mut state.memo)?;
         state.cursor = Some(next);
         Ok(TermRefresh::Rebuilt { rows })
     }
@@ -244,20 +215,18 @@ fn delta_changes(
     ids: &ViewIds,
     kind: TransitionKind,
     window: &TransInfo,
-    delta: &TransitionEffect,
+    delta: &TransInfo,
 ) -> (Vec<TupleHandle>, BTreeSet<TupleHandle>) {
-    // The delta names updates per column; membership probes are per
-    // tuple, so dedup once.
-    let updated: BTreeSet<TupleHandle> = delta.updated.iter().map(|(h, _)| *h).collect();
+    let updated = delta.upd.keys();
     match kind {
         TransitionKind::Inserted => {
-            let removed = delta.deleted.iter().copied().collect();
+            let removed = delta.del.keys().copied().collect();
             // New inserts probe in; updates of window-inserted tuples
             // re-probe (their current values changed).
             let probes = delta
-                .inserted
+                .ins
                 .iter()
-                .chain(&updated)
+                .chain(updated)
                 .filter(|h| window.ins.contains(h) && db.table_of(**h) == Some(ids.tid))
                 .copied()
                 .collect();
@@ -267,19 +236,18 @@ fn delta_changes(
             // Deletes only ever join this view; their old values are
             // frozen, so no removals and no re-probes.
             let probes = delta
-                .deleted
-                .iter()
+                .del
+                .keys()
                 .filter(|h| window.del.get(h).is_some_and(|e| e.table == ids.tid))
                 .copied()
                 .collect();
             (Vec::new(), probes)
         }
         TransitionKind::OldUpdated | TransitionKind::NewUpdated => {
-            let removed = delta.deleted.iter().copied().collect();
+            let removed = delta.del.keys().copied().collect();
             // A newly updated column can bring a tuple into a
             // column-restricted view.
             let probes = updated
-                .iter()
                 .filter(|h| {
                     window.upd.get(h).is_some_and(|e| {
                         e.table == ids.tid && ids.col.is_none_or(|c| e.columns.contains(&c))
@@ -388,7 +356,7 @@ fn repair_term(
     db: &Database,
     term: &IncTerm,
     window: &TransInfo,
-    delta: &TransitionEffect,
+    delta: &TransInfo,
     memo: &mut TermMemo,
 ) -> Result<u64, QueryError> {
     let mut rows = 0u64;

@@ -10,10 +10,10 @@
 //!
 //! * [`TransitionEffect`] — the `[I, D, U]` effect triples and the
 //!   Definition 2.1 composition operator (plus the §5.1 `S` extension);
-//! * [`TransInfo`] — per-rule composite transition information with old
-//!   values (Fig. 1's `trans-info`, `init-trans-info`,
-//!   `modify-trans-info`);
-//! * [`RuleWindowProvider`] — transition tables (`inserted t`, `deleted t`,
+//! * [`TransInfo`] — composite transition information with old values
+//!   (Fig. 1's `trans-info`): a transaction logs each transition once and
+//!   every rule's window is a range of that log;
+//! * [`RuleWindowRef`] — transition tables (`inserted t`, `deleted t`,
 //!   `old/new updated t[.c]`, `selected t[.c]`) materialized into query
 //!   evaluation, enforcing §3's reference restriction;
 //! * [`RuleSystem`] — the execution engine: the Figure 1 algorithm with §4
@@ -46,7 +46,7 @@ mod engine;
 mod error;
 pub mod events;
 pub mod external;
-pub mod incremental;
+mod incremental;
 pub mod priority;
 pub mod rule;
 pub mod selection;
@@ -54,6 +54,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod transinfo;
 pub mod transition_tables;
+mod window;
 
 pub use effect::TransitionEffect;
 pub use engine::{
@@ -79,4 +80,4 @@ pub use selection::SelectionStrategy;
 pub use snapshot::{Snapshot, TableSnapshot};
 pub use stats::{EngineStats, RuleTiming, TxnStats};
 pub use transinfo::{DelEntry, SelEntry, TransInfo, UpdEntry};
-pub use transition_tables::{RuleWindowProvider, RuleWindowRef};
+pub use transition_tables::RuleWindowRef;

@@ -110,9 +110,9 @@ pub struct EngineStats {
     pub incr_fallbacks: u64,
     /// Rows probed by incremental repairs and rebuilds combined.
     pub incr_delta_rows: u64,
-    /// Incremental considerations whose composed delta suffix was served
-    /// from the shared per-transaction compose cache (another rule at the
-    /// same cursor already folded it this round).
+    /// Incremental considerations whose composed delta suffix was shared:
+    /// another refresh at the same cursor already asked the transaction's
+    /// transition log for it since the log last grew.
     pub incr_shared_hits: u64,
     /// `incr_fallbacks` broken down by `FallbackReason` label (plus
     /// dynamic degrade labels such as the sum overflow guard).

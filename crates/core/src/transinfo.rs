@@ -246,7 +246,7 @@ impl TransInfo {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use setrules_storage::tuple;
 
@@ -258,16 +258,16 @@ mod tests {
     }
     const T: TableId = TableId(0);
 
-    fn ins(hs: &[u64]) -> OpEffect {
+    pub(crate) fn ins(hs: &[u64]) -> OpEffect {
         OpEffect::Insert { table: T, handles: hs.iter().map(|n| h(*n)).collect() }
     }
-    fn del(ts: &[(u64, i64)]) -> OpEffect {
+    pub(crate) fn del(ts: &[(u64, i64)]) -> OpEffect {
         OpEffect::Delete {
             table: T,
             tuples: ts.iter().map(|(n, v)| (h(*n), tuple![*v])).collect(),
         }
     }
-    fn upd(ts: &[(u64, u16, i64)]) -> OpEffect {
+    pub(crate) fn upd(ts: &[(u64, u16, i64)]) -> OpEffect {
         OpEffect::Update {
             table: T,
             tuples: ts.iter().map(|(n, col, v)| (h(*n), vec![c(*col)], tuple![*v])).collect(),

@@ -11,8 +11,7 @@
 //! * `selected t[.c]` — read tuples, current values (§5.1 extension).
 //!
 //! References are checked against the set licensed by the rule's
-//! transition predicates (§3's restriction); a provider without a licence
-//! set (used for debugging/analysis) allows everything.
+//! transition predicates (§3's restriction).
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -23,18 +22,9 @@ use setrules_storage::{ColumnId, Database, TableId, Value};
 
 use crate::transinfo::TransInfo;
 
-/// A [`TransitionTableProvider`] over one rule's window (owning variant,
-/// used where the provider must outlive local borrows — external actions).
-#[derive(Debug, Clone)]
-pub struct RuleWindowProvider {
-    info: TransInfo,
-    /// Licensed references; `None` = unrestricted (ad-hoc inspection).
-    licensed: Option<BTreeSet<(TransitionKind, TableId, Option<ColumnId>)>>,
-}
-
-/// A borrowing [`TransitionTableProvider`] over one rule's window — avoids
-/// cloning the (potentially large) window for declarative actions and
-/// condition checks.
+/// A [`TransitionTableProvider`] borrowing one rule's window — conditions,
+/// declarative actions and external actions all read the transaction's
+/// shared window without cloning it.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleWindowRef<'a> {
     /// The rule's composite window.
@@ -44,6 +34,12 @@ pub struct RuleWindowRef<'a> {
 }
 
 impl TransitionTableProvider for RuleWindowRef<'_> {
+    /// Rows are *lent*, not cloned: window-start values (`deleted`,
+    /// `old updated`) borrow from the window's undo copies, current values
+    /// (`inserted`, `new updated`, `selected`) borrow from the live tuples
+    /// — the executor clones only rows that survive its filters. This is
+    /// the consideration hot path: a storm of reconsiderations over a
+    /// large window used to clone every row per consideration.
     fn rows<'a>(
         &'a self,
         db: &'a Database,
@@ -51,60 +47,7 @@ impl TransitionTableProvider for RuleWindowRef<'_> {
         table: &str,
         column: Option<&str>,
     ) -> Result<Vec<Cow<'a, [Value]>>, QueryError> {
-        rows_impl(self.info, Some(self.licensed), db, kind, table, column)
-    }
-}
-
-impl RuleWindowProvider {
-    /// Provider enforcing the §3 restriction with the given licence set.
-    pub fn licensed(
-        info: TransInfo,
-        licensed: BTreeSet<(TransitionKind, TableId, Option<ColumnId>)>,
-    ) -> Self {
-        RuleWindowProvider { info, licensed: Some(licensed) }
-    }
-
-    /// Provider allowing any reference (for analysis and the REPL's
-    /// post-mortem inspection).
-    pub fn unrestricted(info: TransInfo) -> Self {
-        RuleWindowProvider { info, licensed: None }
-    }
-
-    /// The underlying window.
-    pub fn info(&self) -> &TransInfo {
-        &self.info
-    }
-}
-
-impl TransitionTableProvider for RuleWindowProvider {
-    fn rows<'a>(
-        &'a self,
-        db: &'a Database,
-        kind: TransitionKind,
-        table: &str,
-        column: Option<&str>,
-    ) -> Result<Vec<Cow<'a, [Value]>>, QueryError> {
-        rows_impl(&self.info, self.licensed.as_ref(), db, kind, table, column)
-    }
-}
-
-/// Shared materialization logic for the owning and borrowing providers.
-///
-/// Rows are *lent*, not cloned: window-start values (`deleted`,
-/// `old updated`) borrow from the window's undo copies, current values
-/// (`inserted`, `new updated`, `selected`) borrow from the live tuples —
-/// the executor clones only rows that survive its filters. This is the
-/// consideration hot path: a storm of reconsiderations over a large
-/// window used to clone every row per consideration.
-fn rows_impl<'a>(
-    info: &'a TransInfo,
-    licensed: Option<&BTreeSet<(TransitionKind, TableId, Option<ColumnId>)>>,
-    db: &'a Database,
-    kind: TransitionKind,
-    table: &str,
-    column: Option<&str>,
-) -> Result<Vec<Cow<'a, [Value]>>, QueryError> {
-    {
+        let info = self.info;
         let tid = db.table_id(table)?;
         let col = match column {
             Some(c) => Some(
@@ -114,12 +57,8 @@ fn rows_impl<'a>(
             ),
             None => None,
         };
-        if let Some(lic) = licensed {
-            if !lic.contains(&(kind, tid, col)) {
-                return Err(QueryError::TransitionTableUnavailable(describe(
-                    kind, table, column,
-                )));
-            }
+        if !self.licensed.contains(&(kind, tid, col)) {
+            return Err(QueryError::TransitionTableUnavailable(describe(kind, table, column)));
         }
         let rows = match kind {
             TransitionKind::Inserted => info

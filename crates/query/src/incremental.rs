@@ -667,15 +667,16 @@ impl TermMemo {
     }
 }
 
-/// A per-term delta cursor: which suffix of the transaction's delta log
-/// this term's memo has already absorbed. Valid only within the same
-/// transaction (`epoch`) and window incarnation (`wgen`).
+/// A per-term delta cursor: which suffix of the transaction's transition
+/// log this term's memo has already absorbed. Valid only within the same
+/// transaction (`epoch`) and while the rule's window still starts where
+/// it did when the memo was built (`start`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cursor {
     /// The transaction the memo was built in.
     pub epoch: u64,
-    /// The rule-window generation the memo was built against.
-    pub wgen: u64,
+    /// Log position the rule's window started at when the memo was built.
+    pub start: usize,
     /// Log position: entries `[seq..]` have not been absorbed yet.
     pub seq: usize,
 }
@@ -743,13 +744,12 @@ pub struct IncrState {
 #[derive(Debug, Clone, Copy)]
 pub enum TermRefresh {
     /// The memo was patched from the composed delta suffix. `shared` is
-    /// set when the composition came from the transaction's shared
-    /// compose cache (another rule at the same cursor already paid for
-    /// it).
+    /// set when another term at the same cursor already asked the
+    /// transaction's log for that suffix since it last grew.
     Repaired {
         /// Rows probed during the patch.
         rows: u64,
-        /// Composed delta served from the shared cache?
+        /// Composed delta shared with an earlier refresh?
         shared: bool,
     },
     /// The memo was rebuilt from the rule's whole window.

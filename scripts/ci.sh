@@ -126,6 +126,15 @@ BENCH_FAST=1 BENCH_OUT_DIR="$PWD/target/bench-snapshots" \
 test -f "$PWD/target/bench-snapshots/BENCH_incremental_wide.json" \
   || { echo "error: BENCH_incremental_wide.json not written" >&2; exit 1; }
 
+echo "==> bench smoke (B3: per-rule window upkeep stays flat)"
+# In-bench assert: a 200-row update with 256 never-triggered rules costs
+# at most 2x the same update with none (windows are ranges of one
+# transition log, not per-rule compositions).
+BENCH_FAST=1 BENCH_OUT_DIR="$PWD/target/bench-snapshots" \
+  cargo bench -p setrules-bench --bench transinfo_overhead
+test -f "$PWD/target/bench-snapshots/BENCH_transinfo_overhead.json" \
+  || { echo "error: BENCH_transinfo_overhead.json not written" >&2; exit 1; }
+
 echo "==> EngineEvent enum guard"
 # Variant names: capitalized identifiers at 4-space indent inside the
 # `pub enum EngineEvent { ... }` block.

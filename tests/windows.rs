@@ -2,7 +2,7 @@
 //! through `RuleSystem::current_window`, validating the §4.2 window
 //! bookkeeping at each step of a transaction.
 
-use setrules_core::RuleSystem;
+use setrules_core::{EngineConfig, RetriggerSemantics, RuleSystem};
 use setrules_storage::Value;
 
 fn sys2() -> RuleSystem {
@@ -90,5 +90,83 @@ fn update_windows_capture_old_tuples() {
     assert_eq!(w.upd.len(), 1, "two updates to one tuple collapse");
     let entry = w.upd.values().next().unwrap();
     assert_eq!(entry.old.0[1], Value::Int(10), "old tuple is the window-start value");
+    sys.rollback().unwrap();
+}
+
+fn with_semantics(retrigger: RetriggerSemantics) -> RuleSystem {
+    RuleSystem::with_config(EngineConfig { retrigger, ..Default::default() })
+}
+
+#[test]
+fn since_last_considered_window_is_empty_after_false_consideration() {
+    let mut sys = with_semantics(RetriggerSemantics::SinceLastConsidered);
+    sys.execute("create table t (k int)").unwrap();
+    sys.execute("create rule w when inserted into t if false then delete from t").unwrap();
+    sys.begin().unwrap();
+    sys.run_op("insert into t values (1), (2)").unwrap();
+    sys.process_rules().unwrap();
+    assert!(
+        sys.current_window("w").unwrap().is_empty(),
+        "footnote 8: the window restarts when the rule is considered"
+    );
+    sys.run_op("insert into t values (3)").unwrap();
+    sys.process_rules().unwrap();
+    // Considered false again: the new insert was seen, then cleared.
+    assert!(sys.current_window("w").unwrap().is_empty());
+    sys.rollback().unwrap();
+
+    // Under the default semantics the same window keeps accumulating.
+    let mut sys = RuleSystem::new();
+    sys.execute("create table t (k int)").unwrap();
+    sys.execute("create rule w when inserted into t if false then delete from t").unwrap();
+    sys.begin().unwrap();
+    sys.run_op("insert into t values (1), (2)").unwrap();
+    sys.process_rules().unwrap();
+    sys.run_op("insert into t values (3)").unwrap();
+    sys.process_rules().unwrap();
+    assert_eq!(sys.current_window("w").unwrap().ins.len(), 3);
+    sys.rollback().unwrap();
+}
+
+#[test]
+fn since_last_triggering_window_restarts_at_the_triggering_transition() {
+    let setup = |retrigger| {
+        let mut sys = with_semantics(retrigger);
+        sys.execute("create table t (k int)").unwrap();
+        sys.execute("create table u (k int)").unwrap();
+        sys.execute("create table v (k int)").unwrap();
+        sys.execute("create rule w when inserted into u if false then delete from u").unwrap();
+        sys.execute(
+            "create rule copy when inserted into t then insert into u (select k from inserted t)",
+        )
+        .unwrap();
+        sys.begin().unwrap();
+        // The external block inserts two u rows (triggering w) and one t
+        // row; `copy` then inserts a third u row, re-triggering w.
+        sys.run_op("insert into u values (1), (2)").unwrap();
+        sys.run_op("insert into t values (3)").unwrap();
+        assert_eq!(sys.process_rules().unwrap().fired.len(), 1);
+        sys
+    };
+    let mut sys = setup(RetriggerSemantics::SinceLastTriggering);
+    let u_rows = |sys: &RuleSystem| {
+        let db = sys.database();
+        let u = db.table_id("u").unwrap();
+        let w = sys.current_window("w").unwrap();
+        w.ins.iter().filter(|h| db.table_of(**h) == Some(u)).count()
+    };
+    assert_eq!(u_rows(&sys), 1, "[WF89b]: only copy's transition, which alone triggers w");
+    assert_eq!(sys.current_window("w").unwrap().ins.len(), 1);
+    // A transition that does not trigger w extends its window instead.
+    sys.run_op("insert into v values (9)").unwrap();
+    sys.process_rules().unwrap();
+    assert_eq!(sys.current_window("w").unwrap().ins.len(), 2);
+    assert_eq!(u_rows(&sys), 1);
+    sys.rollback().unwrap();
+
+    // The default semantics compose the whole transaction instead.
+    let mut sys = setup(RetriggerSemantics::SinceLastAction);
+    assert_eq!(u_rows(&sys), 3);
+    assert_eq!(sys.current_window("w").unwrap().ins.len(), 4);
     sys.rollback().unwrap();
 }
