@@ -15,6 +15,13 @@
 //!   transaction. Every consideration after the first hits the per-rule
 //!   plan cache, so condition/action expressions compile once, not per
 //!   firing; the snapshot records the hit/miss counters.
+//! * **correlated set**: `update acct set n = (select d from delta where
+//!   delta.k = acct.k)` over N = 1000 outer × M ∈ {10, 200} inner rows.
+//!   The compiled executor builds the equality-correlated subquery once
+//!   per statement and probes it per outer row, so the bench asserts that
+//!   per-outer-row time stays flat in M (≤ 2× from M = 10 to M = 200)
+//!   and that the inner table is scanned once; the interpreted executor
+//!   re-runs the subquery per outer row (N·M rows scanned).
 
 use std::time::Instant;
 
@@ -54,6 +61,94 @@ fn refire_system(mode: ExecMode) -> RuleSystem {
     )
     .unwrap();
     sys
+}
+
+const OUTER: usize = 1000;
+const INNER: [usize; 2] = [10, 200];
+
+const SET_QUERY: &str = "update acct set n = (select d from delta where delta.k = acct.k)";
+
+/// `acct` (N outer rows, keys 0..N) and `delta` (M inner rows with unique
+/// keys 0..M); re-running `SET_QUERY` is idempotent.
+fn correlated_system(mode: ExecMode, inner: usize) -> RuleSystem {
+    let mut sys = RuleSystem::with_config(EngineConfig { exec_mode: mode, ..Default::default() });
+    sys.execute("create table acct (k int, n int)").unwrap();
+    sys.execute("create table delta (k int, d int)").unwrap();
+    let rows: Vec<String> = (0..OUTER).map(|k| format!("({k}, 0)")).collect();
+    sys.transaction_without_rules(&format!("insert into acct values {}", rows.join(", "))).unwrap();
+    let rows: Vec<String> = (0..inner).map(|k| format!("({k}, {})", k % 7)).collect();
+    sys.transaction_without_rules(&format!("insert into delta values {}", rows.join(", "))).unwrap();
+    sys
+}
+
+/// Per-outer-row cost of `SET_QUERY` in microseconds: the median over
+/// `reps` runs, interleaved across the two inner sizes so host drift hits
+/// both alike.
+fn correlated_per_row_us(mode: ExecMode, reps: usize) -> [f64; 2] {
+    let mut systems = INNER.map(|m| correlated_system(mode, m));
+    let mut samples = [Vec::new(), Vec::new()];
+    for _ in 0..reps {
+        for (sys, out) in systems.iter_mut().zip(samples.iter_mut()) {
+            let start = Instant::now();
+            sys.execute(SET_QUERY).unwrap();
+            out.push(start.elapsed().as_secs_f64() * 1e6 / OUTER as f64);
+        }
+    }
+    samples.map(|mut s| {
+        s.sort_by(f64::total_cmp);
+        s[s.len() / 2]
+    })
+}
+
+/// The correlated-set acceptance: one keyed build scanning `delta` once,
+/// one probe per outer row, and per-outer-row time flat in M.
+fn correlated_snapshot() -> Json {
+    let mut per_mode = Vec::new();
+    for (label, mode) in [("compiled", ExecMode::Compiled), ("interpreted", ExecMode::Interpreted)] {
+        let mut counters = Vec::new();
+        for m in INNER {
+            let mut sys = correlated_system(mode, m);
+            let base = sys.exec_stats();
+            sys.execute(SET_QUERY).unwrap();
+            let st = sys.exec_stats().since(&base);
+            if mode == ExecMode::Compiled {
+                assert_eq!(st.subquery_keyed_builds, 1, "acceptance: one keyed build per statement");
+                assert_eq!(st.subquery_keyed_probes, OUTER as u64);
+                assert_eq!(st.rows_scanned, (OUTER + m) as u64, "acceptance: delta scanned once");
+            }
+            counters.push(Json::obj([
+                ("inner_rows", Json::Int(m as i64)),
+                ("rows_scanned", Json::Int(st.rows_scanned as i64)),
+                ("keyed_builds", Json::Int(st.subquery_keyed_builds as i64)),
+                ("keyed_probes", Json::Int(st.subquery_keyed_probes as i64)),
+            ]));
+        }
+        let reps = if mode == ExecMode::Compiled { 41 } else { 5 };
+        let [small, large] = correlated_per_row_us(mode, reps);
+        if mode == ExecMode::Compiled {
+            assert!(
+                large <= 2.0 * small,
+                "acceptance: per-outer-row time must stay flat in M \
+                 ({small:.2} us at M={}, {large:.2} us at M={})",
+                INNER[0],
+                INNER[1]
+            );
+        }
+        per_mode.push((
+            label,
+            Json::obj([
+                ("counters", Json::Array(counters)),
+                ("per_outer_row_us", Json::Array(vec![Json::Float(small), Json::Float(large)])),
+                ("growth", Json::Float(large / small)),
+            ]),
+        ));
+    }
+    Json::obj([
+        ("outer_rows", Json::Int(OUTER as i64)),
+        ("inner_rows", Json::Array(INNER.map(|m| Json::Int(m as i64)).to_vec())),
+        ("compiled", per_mode[0].1.clone()),
+        ("interpreted", per_mode[1].1.clone()),
+    ])
 }
 
 /// One instrumented pass per mode: the work counters behind the
@@ -126,6 +221,7 @@ fn pipeline_snapshot() {
                 "rule_refire",
                 Json::obj([("compiled", refire_c), ("interpreted", refire_i)]),
             ),
+            ("correlated_set", correlated_snapshot()),
         ]),
     );
 }
@@ -166,6 +262,21 @@ fn bench(c: &mut Criterion) {
                 BatchSize::PerIteration,
             );
         });
+    }
+    g.finish();
+
+    let mut g = c.benchmark_group("b11_correlated_set");
+    g.warm_up_time(std::time::Duration::from_millis(400));
+    g.measurement_time(std::time::Duration::from_secs(2));
+    g.sample_size(10);
+    for (label, mode) in [("compiled", ExecMode::Compiled), ("interpreted", ExecMode::Interpreted)]
+    {
+        for m in INNER {
+            let mut sys = correlated_system(mode, m);
+            g.bench_function(format!("{label}/{OUTER}x{m}"), |b| {
+                b.iter(|| sys.execute(SET_QUERY).unwrap());
+            });
+        }
     }
     g.finish();
 }

@@ -982,8 +982,11 @@ impl RuleSystem {
         }
     }
 
-    /// Process rules (unless already done for all changes) and commit the
-    /// open transaction.
+    /// Run a fresh Figure-1 rule-processing pass, then commit the open
+    /// transaction. The pass reconsiders every rule its window still
+    /// triggers, even right after [`process_rules`](Self::process_rules)
+    /// with no operation in between: under the default §4.2 semantics a
+    /// rule found false there is considered once more here.
     pub fn commit(&mut self) -> Result<TxnOutcome, RuleError> {
         if self.txn.is_none() {
             return Err(RuleError::NoOpenTransaction);

@@ -14,7 +14,7 @@
 //! * unresolvable or ambiguous references lower to [`CompiledExpr::Interp`],
 //!   so `UnknownColumn` / `AmbiguousColumn` errors still surface lazily at
 //!   evaluation time, exactly where the interpreter would raise them (the
-//!   subquery-correlation probe in `eval` depends on this);
+//!   subquery-correlation probe in `subquery` depends on this);
 //! * constant folding only replaces a subtree when its evaluation
 //!   *succeeds* — `1 / 0` stays unfolded so the error remains lazy and
 //!   `false and 1/0 = 1` still short-circuits to `false`;
@@ -37,6 +37,7 @@ use crate::bindings::{Bindings, Level};
 use crate::ctx::QueryCtx;
 use crate::error::QueryError;
 use crate::eval;
+use crate::subquery;
 
 // ----------------------------------------------------------------------
 // Layout: the compile-time shadow of a Bindings stack.
@@ -225,7 +226,7 @@ pub enum CompiledExpr {
     },
     /// `expr [NOT] IN (select …)` — the needle is compiled; the subquery
     /// executes through `run_select` (which compiles its own scope) with
-    /// the per-statement uncorrelated-subquery memo intact.
+    /// the per-statement subquery memo intact.
     InSubquery {
         /// The needle.
         expr: Box<CompiledExpr>,
@@ -480,28 +481,16 @@ pub fn eval_compiled(
             };
             eval::like_semantics(&v, &p, e.as_ref(), *negated)
         }
-        CompiledExpr::InSubquery { expr, subquery, negated } => {
+        CompiledExpr::InSubquery { expr, subquery: sub, negated } => {
             let needle = eval_compiled(ctx, bindings, group, expr)?;
-            let rel = eval::eval_subquery(ctx, bindings, subquery)?;
-            if rel.columns.len() != 1 {
-                return Err(QueryError::SubqueryColumns(rel.columns.len()));
-            }
-            eval::in_semantics(&needle, rel.column0(), *negated)
+            let rows = subquery::eval_subquery(ctx, bindings, sub)?;
+            subquery::in_subquery(&needle, &rows, *negated)
         }
-        CompiledExpr::Exists { subquery, negated } => {
-            let rel = eval::eval_subquery(ctx, bindings, subquery)?;
-            Ok(Value::Bool(rel.is_empty() == *negated))
+        CompiledExpr::Exists { subquery: sub, negated } => {
+            Ok(subquery::exists(&subquery::eval_subquery(ctx, bindings, sub)?, *negated))
         }
-        CompiledExpr::ScalarSubquery(subquery) => {
-            let rel = eval::eval_subquery(ctx, bindings, subquery)?;
-            if rel.columns.len() != 1 {
-                return Err(QueryError::SubqueryColumns(rel.columns.len()));
-            }
-            match rel.rows.len() {
-                0 => Ok(Value::Null),
-                1 => Ok(rel.rows[0][0].clone()),
-                n => Err(QueryError::ScalarSubqueryRows(n)),
-            }
+        CompiledExpr::ScalarSubquery(sub) => {
+            subquery::scalar(&subquery::eval_subquery(ctx, bindings, sub)?)
         }
         CompiledExpr::Interp(src) => eval::eval_expr(ctx, bindings, group, src),
     }

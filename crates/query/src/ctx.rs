@@ -1,15 +1,12 @@
 //! Evaluation context: the database, the transition-table provider, and
 //! the per-statement subquery cache.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
 use setrules_storage::Database;
 
 use crate::compile::PlanCache;
 use crate::provider::TransitionTableProvider;
-use crate::relation::Relation;
 use crate::stats::{OpStatsCell, StatsCell};
+use crate::subquery::SubqueryCache;
 
 /// Which executor evaluates expressions and plans joins.
 ///
@@ -29,34 +26,6 @@ pub enum ExecMode {
     Interpreted,
 }
 
-/// Per-statement memo for uncorrelated subqueries, keyed by AST node
-/// address. `None` records that the subquery was found to be correlated
-/// (it references outer columns), so re-evaluation per row is required.
-///
-/// This is the representative optimization behind the paper's §1 claim
-/// that set-oriented rules keep relational optimization applicable: a
-/// rule-action predicate like `fk in (select pk from deleted parent)`
-/// evaluates its subquery once per statement, not once per scanned row.
-#[derive(Debug, Default)]
-pub struct SubqueryCache {
-    entries: RefCell<HashMap<usize, Option<Relation>>>,
-}
-
-impl SubqueryCache {
-    /// A fresh, empty cache (one per executed statement).
-    pub fn new() -> Self {
-        SubqueryCache::default()
-    }
-
-    pub(crate) fn get(&self, key: usize) -> Option<Option<Relation>> {
-        self.entries.borrow().get(&key).cloned()
-    }
-
-    pub(crate) fn put(&self, key: usize, value: Option<Relation>) {
-        self.entries.borrow_mut().insert(key, value);
-    }
-}
-
 /// Everything expression evaluation may consult: the current database state
 /// and the transition tables of the rule being processed (if any).
 ///
@@ -69,8 +38,9 @@ pub struct QueryCtx<'a> {
     pub db: &'a Database,
     /// Transition tables visible in this context.
     pub virt: &'a dyn TransitionTableProvider,
-    /// Uncorrelated-subquery memo for the statement being evaluated;
-    /// `None` disables hoisting (every subquery re-evaluates).
+    /// Subquery memo for the statement being evaluated (see
+    /// [`SubqueryCache`]); `None` disables it (every subquery re-runs for
+    /// every outer row).
     pub cache: Option<&'a SubqueryCache>,
     /// Execution-work accumulator; `None` (the default) disables
     /// instrumentation.

@@ -37,6 +37,7 @@ use crate::refs::referenced_columns;
 use crate::relation::Relation;
 use crate::select::run_select_traced;
 use crate::stats::{self, OpStatsCell, StatsCell};
+use crate::subquery::SubqueryCache;
 
 /// The affected set of one executed operation, with captured old values.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,7 +207,7 @@ pub fn execute_query_ext(
     stmt: &SelectStmt,
     opts: &ExecOpts,
 ) -> Result<Relation, QueryError> {
-    let cache = crate::SubqueryCache::new();
+    let cache = SubqueryCache::new();
     let ctx = QueryCtx::with_provider(db, virt)
         .with_cache(&cache)
         .with_stats(opts.stats)
@@ -248,7 +249,7 @@ fn execute_insert(
     let arity = db.schema(table).arity();
 
     // Phase 1: compute the rows to insert.
-    let cache = crate::SubqueryCache::new();
+    let cache = SubqueryCache::new();
     let rows: Vec<Tuple> = {
         let ctx = QueryCtx::with_provider(db, virt)
             .with_cache(&cache)
@@ -303,7 +304,8 @@ fn execute_insert(
 /// Identify the tuples of `table` satisfying `predicate` (phase 1 of
 /// delete/update). Returns matching handles in handle order. In compiled
 /// mode the predicate is lowered once (through the plan cache when one is
-/// attached) instead of resolving names per scanned row.
+/// attached) instead of resolving names per scanned row. `cache` is the
+/// statement's subquery memo: an update's `set` expressions share it.
 fn identify(
     db: &Database,
     virt: &dyn TransitionTableProvider,
@@ -311,11 +313,11 @@ fn identify(
     table_name: &str,
     predicate: Option<&setrules_sql::ast::Expr>,
     opts: &ExecOpts,
+    cache: &SubqueryCache,
 ) -> Result<Vec<TupleHandle>, QueryError> {
     let st = opts.stats;
-    let cache = crate::SubqueryCache::new();
     let ctx = QueryCtx::with_provider(db, virt)
-        .with_cache(&cache)
+        .with_cache(cache)
         .with_stats(st)
         .with_mode(opts.mode)
         .with_plans(opts.plans)
@@ -412,7 +414,8 @@ fn execute_delete(
     opts: &ExecOpts,
 ) -> Result<OpEffect, QueryError> {
     let table = db.table_id(&stmt.table)?;
-    let handles = identify(db, virt, table, &stmt.table, stmt.predicate.as_ref(), opts)?;
+    let cache = SubqueryCache::new();
+    let handles = identify(db, virt, table, &stmt.table, stmt.predicate.as_ref(), opts, &cache)?;
     // Phase 2: delete (statement-atomic).
     let tuples = apply_atomically(db, |db| {
         let mut tuples = Vec::with_capacity(handles.len());
@@ -445,9 +448,9 @@ fn execute_update(
 
     // Phase 1: identify tuples and compute per-tuple assignments against
     // the pre-update state.
-    let handles = identify(db, virt, table, &stmt.table, stmt.predicate.as_ref(), opts)?;
+    let cache = SubqueryCache::new();
+    let handles = identify(db, virt, table, &stmt.table, stmt.predicate.as_ref(), opts, &cache)?;
     let mut planned: Vec<(TupleHandle, Vec<(ColumnId, Value)>)> = Vec::with_capacity(handles.len());
-    let cache = crate::SubqueryCache::new();
     {
         let ctx = QueryCtx::with_provider(db, virt)
             .with_cache(&cache)
@@ -509,7 +512,7 @@ fn execute_select_op(
     stmt: &SelectStmt,
     opts: &ExecOpts,
 ) -> Result<OpEffect, QueryError> {
-    let cache = crate::SubqueryCache::new();
+    let cache = SubqueryCache::new();
     let ctx = QueryCtx::with_provider(db, virt)
         .with_cache(&cache)
         .with_stats(opts.stats)

@@ -8,15 +8,14 @@
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
-use setrules_sql::ast::{AggFunc, BinaryOp, Expr, SelectStmt, UnaryOp};
+use setrules_sql::ast::{AggFunc, BinaryOp, Expr, UnaryOp};
 use setrules_storage::Value;
 
 use crate::bindings::{Bindings, Level};
 use crate::ctx::QueryCtx;
 use crate::error::QueryError;
 use crate::like::{like_match_tokens, like_tokens};
-use crate::relation::Relation;
-use crate::select::run_select;
+use crate::subquery::{self, eval_subquery};
 
 /// Evaluate `e` to a value.
 ///
@@ -49,29 +48,15 @@ pub fn eval_expr(
             }
             in_semantics(&needle, vals.iter(), *negated)
         }
-        Expr::InSubquery { expr, subquery, negated } => {
+        Expr::InSubquery { expr, subquery: sub, negated } => {
             let needle = eval_expr(ctx, bindings, group, expr)?;
-            let rel = eval_subquery(ctx, bindings, subquery)?;
-            if rel.columns.len() != 1 {
-                return Err(QueryError::SubqueryColumns(rel.columns.len()));
-            }
-            in_semantics(&needle, rel.column0(), *negated)
+            let rows = eval_subquery(ctx, bindings, sub)?;
+            subquery::in_subquery(&needle, &rows, *negated)
         }
-        Expr::Exists { subquery, negated } => {
-            let rel = eval_subquery(ctx, bindings, subquery)?;
-            Ok(Value::Bool(rel.is_empty() == *negated))
+        Expr::Exists { subquery: sub, negated } => {
+            Ok(subquery::exists(&eval_subquery(ctx, bindings, sub)?, *negated))
         }
-        Expr::ScalarSubquery(subquery) => {
-            let rel = eval_subquery(ctx, bindings, subquery)?;
-            if rel.columns.len() != 1 {
-                return Err(QueryError::SubqueryColumns(rel.columns.len()));
-            }
-            match rel.rows.len() {
-                0 => Ok(Value::Null),
-                1 => Ok(rel.rows[0][0].clone()),
-                n => Err(QueryError::ScalarSubqueryRows(n)),
-            }
-        }
+        Expr::ScalarSubquery(sub) => subquery::scalar(&eval_subquery(ctx, bindings, sub)?),
         Expr::Between { expr, low, high, negated } => {
             let v = eval_expr(ctx, bindings, group, expr)?;
             let lo = eval_expr(ctx, bindings, group, low)?;
@@ -96,47 +81,6 @@ pub fn eval_expr(
             };
             eval_aggregate(ctx, bindings, rows, *func, arg.as_deref(), *distinct)
         }
-    }
-}
-
-/// Evaluate a subquery, hoisting it out of the per-row loop when it is
-/// uncorrelated and a per-statement cache is attached to the context.
-///
-/// Correlation is detected operationally: the subquery is first tried in
-/// an *empty* outer scope; success means its result cannot depend on outer
-/// bindings (memoized), while an unknown-column error means it references
-/// the outer row (memoized as correlated, then evaluated normally).
-pub(crate) fn eval_subquery(
-    ctx: QueryCtx<'_>,
-    bindings: &mut Bindings,
-    sub: &SelectStmt,
-) -> Result<Relation, QueryError> {
-    let Some(cache) = ctx.cache else {
-        return run_select(ctx, sub, bindings);
-    };
-    let key = sub as *const SelectStmt as usize;
-    match cache.get(key) {
-        Some(Some(rel)) => {
-            crate::stats::bump(ctx.stats, |s| s.subquery_cache_hits += 1);
-            return Ok(rel);
-        }
-        Some(None) => {
-            // Known correlated: the memo still saves the probe evaluation.
-            crate::stats::bump(ctx.stats, |s| s.subquery_cache_hits += 1);
-            return run_select(ctx, sub, bindings);
-        }
-        None => crate::stats::bump(ctx.stats, |s| s.subquery_cache_misses += 1),
-    }
-    match run_select(ctx, sub, &mut Bindings::new()) {
-        Ok(rel) => {
-            cache.put(key, Some(rel.clone()));
-            Ok(rel)
-        }
-        Err(QueryError::UnknownColumn(_)) => {
-            cache.put(key, None);
-            run_select(ctx, sub, bindings)
-        }
-        Err(e) => Err(e),
     }
 }
 

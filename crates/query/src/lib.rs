@@ -40,12 +40,13 @@ pub mod refs;
 mod relation;
 mod select;
 mod stats;
+mod subquery;
 
 pub use compile::{
     compile, compile_cached, eval_compiled, eval_compiled_predicate, CompiledExpr, Layout,
     LayoutFrame, PlanCache,
 };
-pub use ctx::{ExecMode, QueryCtx, SubqueryCache};
+pub use ctx::{ExecMode, QueryCtx};
 pub use dml::{
     execute_op, execute_op_ext, execute_op_with_opts, execute_op_with_stats, execute_query,
     execute_query_ext, execute_query_with_opts, execute_query_with_stats, ExecOpts, OpEffect,
@@ -57,3 +58,4 @@ pub use provider::{describe, NoTransitionTables, TransitionTableProvider};
 pub use relation::Relation;
 pub use select::{has_aggregate, run_select, run_select_traced};
 pub use stats::{ExecStats, OpCounters, OpStatsCell, StatsCell};
+pub use subquery::SubqueryCache;

@@ -35,6 +35,13 @@ pub struct ExecStats {
     pub subquery_cache_hits: u64,
     /// Subquery evaluations that had to run (first sight of the node).
     pub subquery_cache_misses: u64,
+    /// Equality-correlated subqueries run once per statement and bucketed
+    /// by their correlation key (see `docs/query-pipeline.md`, "Subquery
+    /// memo").
+    pub subquery_keyed_builds: u64,
+    /// Outer rows answered by probing a keyed subquery's buckets instead
+    /// of re-running the subquery.
+    pub subquery_keyed_probes: u64,
     /// Two-item equi-joins executed via the hash-join fast path.
     pub hash_joins: u64,
     /// Multi-item joins executed via the nested-loop odometer (or, in the
@@ -86,6 +93,8 @@ impl ExecStats {
             empty_scans: self.empty_scans + other.empty_scans,
             subquery_cache_hits: self.subquery_cache_hits + other.subquery_cache_hits,
             subquery_cache_misses: self.subquery_cache_misses + other.subquery_cache_misses,
+            subquery_keyed_builds: self.subquery_keyed_builds + other.subquery_keyed_builds,
+            subquery_keyed_probes: self.subquery_keyed_probes + other.subquery_keyed_probes,
             hash_joins: self.hash_joins + other.hash_joins,
             nested_loop_joins: self.nested_loop_joins + other.nested_loop_joins,
             pushdown_filtered: self.pushdown_filtered + other.pushdown_filtered,
@@ -111,6 +120,8 @@ impl ExecStats {
             empty_scans: self.empty_scans - earlier.empty_scans,
             subquery_cache_hits: self.subquery_cache_hits - earlier.subquery_cache_hits,
             subquery_cache_misses: self.subquery_cache_misses - earlier.subquery_cache_misses,
+            subquery_keyed_builds: self.subquery_keyed_builds - earlier.subquery_keyed_builds,
+            subquery_keyed_probes: self.subquery_keyed_probes - earlier.subquery_keyed_probes,
             hash_joins: self.hash_joins - earlier.hash_joins,
             nested_loop_joins: self.nested_loop_joins - earlier.nested_loop_joins,
             pushdown_filtered: self.pushdown_filtered - earlier.pushdown_filtered,
@@ -136,6 +147,8 @@ impl ExecStats {
             ("empty_scans", Json::Int(self.empty_scans as i64)),
             ("subquery_cache_hits", Json::Int(self.subquery_cache_hits as i64)),
             ("subquery_cache_misses", Json::Int(self.subquery_cache_misses as i64)),
+            ("subquery_keyed_builds", Json::Int(self.subquery_keyed_builds as i64)),
+            ("subquery_keyed_probes", Json::Int(self.subquery_keyed_probes as i64)),
             ("hash_joins", Json::Int(self.hash_joins as i64)),
             ("nested_loop_joins", Json::Int(self.nested_loop_joins as i64)),
             ("pushdown_filtered", Json::Int(self.pushdown_filtered as i64)),
@@ -197,7 +210,7 @@ pub(crate) fn bump(stats: Option<&StatsCell>, f: impl FnOnce(&mut ExecStats)) {
 /// Per-operator work counters for one physical operator of the
 /// [`crate::exec`] pipeline (keyed by operator name in [`OpStatsCell`]).
 ///
-/// These ride a *separate* side channel from [`ExecStats`]: the 19
+/// These ride a *separate* side channel from [`ExecStats`]: the 21
 /// aggregate counters stay the executor's stable, mode-independent
 /// vocabulary (the differential suites compare them bit-for-bit), while
 /// per-operator counters attribute that work to the operator tree.
@@ -289,6 +302,6 @@ mod tests {
         let j = ExecStats { nested_loop_joins: 3, ..Default::default() }.to_json();
         assert_eq!(j.get("nested_loop_joins").unwrap().as_i64(), Some(3));
         assert_eq!(j.get("rows_scanned").unwrap().as_i64(), Some(0));
-        assert_eq!(j.as_object().unwrap().len(), 19);
+        assert_eq!(j.as_object().unwrap().len(), 21);
     }
 }

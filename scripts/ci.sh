@@ -62,7 +62,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> bench smoke (query pipeline acceptance counters)"
 # BENCH_FAST shrinks warm-up/measurement budgets; the bench itself asserts
 # the pipeline acceptance bars (>=2x per-row-work reduction on the 3-way
-# join, plan-cache hits on rule refire) and writes the counters snapshot.
+# join, plan-cache hits on rule refire, and for the correlated-set update
+# one keyed subquery build per statement with per-outer-row time flat in
+# the inner table's size) and writes the counters snapshot.
 BENCH_FAST=1 BENCH_OUT_DIR="$PWD/target/bench-snapshots" \
   cargo bench -p setrules-bench --bench query_pipeline
 test -f "$PWD/target/bench-snapshots/BENCH_query_pipeline.json" \

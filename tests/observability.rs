@@ -225,6 +225,8 @@ fn random_exec(rng: &mut Rng) -> ExecStats {
         empty_scans: rng.below(10) as u64,
         subquery_cache_hits: rng.below(10) as u64,
         subquery_cache_misses: rng.below(10) as u64,
+        subquery_keyed_builds: rng.below(5) as u64,
+        subquery_keyed_probes: rng.below(50) as u64,
         hash_joins: rng.below(5) as u64,
         nested_loop_joins: rng.below(5) as u64,
         pushdown_filtered: rng.below(50) as u64,

@@ -3,7 +3,8 @@
 //! * **differential property**: every randomly generated (type-correct)
 //!   select returns byte-identical relations under `ExecMode::Compiled`
 //!   and `ExecMode::Interpreted` — compilation is an execution strategy,
-//!   never a semantics change;
+//!   never a semantics change; a second corpus does the same for
+//!   statements consuming shared, keyed and per-row subqueries;
 //! * **golden plans**: `explain` output for the paper's Example 3.1 / 4.1
 //!   query shapes and for a three-way join is locked down exactly;
 //! * **plan cache**: repeated rule processing hits the per-rule cache,
@@ -14,13 +15,16 @@
 
 use setrules_core::{EngineConfig, FiredRule, RuleSystem};
 use setrules_query::planner::{scan_handles, Access};
+use std::borrow::Cow;
+
 use setrules_query::{
-    execute_op, execute_query_ext, execute_query_with_opts, ExecMode, ExecOpts, NoTransitionTables,
-    OpStatsCell, Relation,
+    execute_op, execute_op_ext, execute_query, execute_query_ext, execute_query_with_opts,
+    ExecMode, ExecOpts, NoTransitionTables, OpEffect, OpStatsCell, QueryError, Relation, StatsCell,
+    TransitionTableProvider,
 };
-use setrules_sql::ast::{DmlOp, SelectStmt, Statement};
+use setrules_sql::ast::{DmlOp, SelectStmt, Statement, TransitionKind};
 use setrules_sql::parse_statement;
-use setrules_storage::{tuple, ColumnId, Database, TableId, Value};
+use setrules_storage::{tuple, ColumnId, DataType, Database, TableId, Value};
 use setrules_testkit::{check, Rng};
 
 fn exec(db: &mut Database, sql: &str) {
@@ -372,6 +376,184 @@ fn engine_modes_agree_end_to_end() {
         (out.fired().to_vec(), emp, dept)
     };
     assert_eq!(run(ExecMode::Compiled), run(ExecMode::Interpreted));
+}
+
+// ----------------------------------------------------------------------
+// Subquery memo differential: shared, keyed and per-row entries
+// ----------------------------------------------------------------------
+
+/// Serves `inserted t` as every stored row of `t`, so a subquery can read
+/// the same rows as a stored table or as a transition table.
+struct EveryRowInserted;
+
+impl TransitionTableProvider for EveryRowInserted {
+    fn rows<'a>(
+        &'a self,
+        db: &'a Database,
+        kind: TransitionKind,
+        table: &str,
+        column: Option<&str>,
+    ) -> Result<Vec<Cow<'a, [Value]>>, QueryError> {
+        if kind != TransitionKind::Inserted || column.is_some() {
+            return NoTransitionTables.rows(db, kind, table, column);
+        }
+        let tid = db.table_id(table)?;
+        Ok(db.table(tid).scan().map(|(_, t)| Cow::Borrowed(t.0.as_slice())).collect())
+    }
+}
+
+/// Outer table `o` and inner table `i`, with NULL, duplicate, signed-zero
+/// and NaN keys; `i` is empty in about a quarter of the cases.
+fn subquery_script(rng: &mut Rng) -> Vec<String> {
+    let int = |rng: &mut Rng| rng.pick(&["NULL", "-1", "0", "1", "2", "2"]).to_string();
+    let float =
+        |rng: &mut Rng| rng.pick(&["NULL", "0.0", "-0.0", "1.0", "1.5", "2.0", "0.0 / 0.0"]).to_string();
+    let text = |rng: &mut Rng| rng.pick(&["NULL", "'a'", "'b'"]).to_string();
+    let mut script = Vec::new();
+    for _ in 0..1 + rng.below(6) {
+        let (k, f, s, n) = (int(rng), float(rng), text(rng), int(rng));
+        script.push(format!("insert into o values ({k}, {f}, {s}, {n})"));
+    }
+    let inner_rows = if rng.chance(1, 4) { 0 } else { 1 + rng.below(7) };
+    for _ in 0..inner_rows {
+        let (k, f, s, d) = (int(rng), float(rng), text(rng), int(rng));
+        script.push(format!("insert into i values ({k}, {f}, {s}, {d})"));
+    }
+    script
+}
+
+fn subquery_database(script: &[String], index_inner: bool) -> Database {
+    let mut db = Database::new();
+    for (name, cols) in [
+        ("o", [("k", DataType::Int), ("f", DataType::Float), ("s", DataType::Text), ("n", DataType::Int)]),
+        ("i", [("k", DataType::Int), ("f", DataType::Float), ("s", DataType::Text), ("d", DataType::Int)]),
+    ] {
+        let cols = cols.iter().map(|(c, t)| setrules_storage::ColumnDef::new(*c, *t)).collect();
+        let t = db.create_table(setrules_storage::TableSchema::new(name, cols)).unwrap();
+        if name == "i" && index_inner {
+            db.create_index(t, ColumnId(0)).unwrap();
+        }
+    }
+    for sql in script {
+        exec(&mut db, sql);
+    }
+    db
+}
+
+/// A subquery over `i` (stored or `inserted i`) correlated with `o`:
+/// mostly the keyed shape (`inner = outer` conjuncts only), otherwise
+/// uncorrelated or one of the shapes the keyed gate rejects.
+fn random_subquery(rng: &mut Rng) -> String {
+    let source = rng.pick(&["i", "inserted i"]);
+    let (item, q) = if rng.chance(1, 2) { (format!("{source} x"), "x") } else { (source.to_string(), "i") };
+    // Wildcards (several columns) only suit `exists`; elsewhere they make
+    // the subquery-column error, so they are drawn less often.
+    let bare = ["{q}.d", "d", "{q}.k", "{q}.f", "{q}.d", "d", "{q}.k", "{q}.f", "*", "{q}.*"];
+    let mut proj = rng.pick(&bare).replace("{q}", q);
+    // Key pairs `(inner, outer)`; `{q}.s = o.k` compares text with int.
+    // That erroring key is always the sole conjunct: with a second one,
+    // compiled pushdown may drop the row the interpreter raises on first
+    // (the accepted error-selection divergence, see `select.rs`), and this
+    // corpus compares error text exactly.
+    const KEYS: &[(&str, &str)] = &[
+        ("{q}.k", "o.k"),
+        ("k", "o.k"),
+        ("{q}.f", "o.k"),
+        ("{q}.k", "o.f"),
+        ("{q}.f", "o.f"),
+        ("{q}.s", "o.s"),
+        ("{q}.d", "n"),
+    ];
+    let incomparable = rng.chance(1, 12);
+    let mut conjuncts = Vec::new();
+    for _ in 0..if incomparable { 1 } else { 1 + rng.below(2) } {
+        let (inner, outer) = if incomparable { ("{q}.s", "o.k") } else { *rng.pick(KEYS) };
+        let inner = inner.replace("{q}", q);
+        conjuncts.push(if rng.chance(1, 2) {
+            format!("{inner} = {outer}")
+        } else {
+            format!("{outer} = {inner}")
+        });
+    }
+    let mut from = item;
+    let mut tail = String::new();
+    match rng.below(20) {
+        0 => conjuncts = vec![format!("{q}.d > 0")],
+        1 => conjuncts.clear(),
+        2 if !incomparable => conjuncts.push(format!("{q}.d > 0")),
+        3 => conjuncts[0] = format!("{q}.k < o.k"),
+        4 => conjuncts[0] = format!("{q}.k = o.k + 0"),
+        5 => proj = rng.pick(&["count(*)", "max(d)"]).to_string(),
+        6 => proj = format!("distinct {proj}"),
+        7 => tail = format!(" order by {q}.d"),
+        8 => tail = " limit 1".to_string(),
+        9 => from.push_str(", i y"),
+        10 => proj = format!("{q}.d + 1"),
+        11 => proj = "o.n".to_string(),
+        12 => {
+            let c = conjuncts.join(" and ");
+            conjuncts = vec![format!("({c} or {q}.d = 1)")];
+        }
+        _ => {}
+    }
+    let mut sql = format!("select {proj} from {from}");
+    if !conjuncts.is_empty() {
+        sql.push_str(&format!(" where {}", conjuncts.join(" and ")));
+    }
+    sql + &tail
+}
+
+/// A predicate over `o` consuming one subquery.
+fn subquery_pred(rng: &mut Rng) -> String {
+    let sub = random_subquery(rng);
+    match rng.below(6) {
+        0 => format!("o.n in ({sub})"),
+        1 => format!("o.n not in ({sub})"),
+        2 => format!("exists ({sub})"),
+        3 => format!("not exists ({sub})"),
+        4 => format!("({sub}) = o.n"),
+        _ => format!("({sub}) is null"),
+    }
+}
+
+/// The subquery memo is an execution strategy: selects, `update … set c
+/// = (select …)`, `update … where k in (select …)` and deletes consuming
+/// uncorrelated, keyed and gate-rejected subqueries over stored and
+/// transition tables produce identical results, final states and error
+/// strings under `ExecMode::Compiled` and `ExecMode::Interpreted`.
+#[test]
+fn compiled_and_interpreted_agree_on_subqueries() {
+    let mut keyed_probes = 0;
+    check("subquery_memo_differential", 300, 0x5ab_9e40, |rng| {
+        let script = subquery_script(rng);
+        let index_inner = rng.chance(1, 3);
+        let sql = match rng.below(6) {
+            0 => format!("select o.k, o.n from o where {}", subquery_pred(rng)),
+            1 => format!("select o.k, ({}) from o", random_subquery(rng)),
+            2 => format!("update o set n = ({})", random_subquery(rng)),
+            3 => format!("update o set n = ({}) where {}", random_subquery(rng), subquery_pred(rng)),
+            4 => format!("update o set n = 7 where k in ({})", random_subquery(rng)),
+            _ => format!("delete from o where {}", subquery_pred(rng)),
+        };
+        let Statement::Dml(op) = parse_statement(&sql).unwrap() else { panic!("not DML: {sql}") };
+        let run = |mode: ExecMode| {
+            let mut db = subquery_database(&script, index_inner);
+            let st = StatsCell::new();
+            let opts = ExecOpts { stats: Some(&st), mode, ..Default::default() };
+            let out = execute_op_ext(&mut db, &EveryRowInserted, &op, &opts).map(|eff| match eff {
+                OpEffect::Select { output, .. } => Some(output),
+                _ => None,
+            });
+            let state = execute_query(&db, &NoTransitionTables, &sel("select * from o")).unwrap();
+            (out.map_err(|e| e.to_string()), state, st.snapshot())
+        };
+        let (compiled, compiled_state, st) = run(ExecMode::Compiled);
+        let (interpreted, interpreted_state, _) = run(ExecMode::Interpreted);
+        assert_eq!(compiled, interpreted, "outcome diverged for: {sql}");
+        assert_eq!(compiled_state, interpreted_state, "final state diverged for: {sql}");
+        keyed_probes += st.subquery_keyed_probes;
+    });
+    assert!(keyed_probes > 0, "the corpus must exercise the keyed path");
 }
 
 // ----------------------------------------------------------------------

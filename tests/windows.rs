@@ -170,3 +170,39 @@ fn since_last_triggering_window_restarts_at_the_triggering_transition() {
     assert_eq!(sys.current_window("w").unwrap().ins.len(), 4);
     sys.rollback().unwrap();
 }
+
+/// `commit()` always runs a fresh Figure-1 pass: with no operation since
+/// `process_rules()`, every rule still triggered by its window is
+/// considered again. Pinned so a change to this count is deliberate.
+#[test]
+fn commit_after_process_rules_reconsiders_still_triggered_rules() {
+    let reconsidered_at_commit = |retrigger: RetriggerSemantics| {
+        let mut sys = RuleSystem::with_config(EngineConfig { retrigger, ..Default::default() });
+        sys.execute("create table t (k int)").unwrap();
+        sys.execute("create table u (k int)").unwrap();
+        sys.execute(
+            "create rule watcher_t when inserted into t \
+             then insert into u (select k from inserted t)",
+        )
+        .unwrap();
+        sys.execute("create rule watcher_u when inserted into u if false then delete from u")
+            .unwrap();
+        sys.begin().unwrap();
+        sys.run_op("insert into t values (1), (2)").unwrap();
+        let report = sys.process_rules().unwrap();
+        assert_eq!(report.fired.len(), 1);
+        assert_eq!(report.stats.engine.rules_considered, 2, "watcher_t fires, watcher_u is false");
+        let before = sys.stats().clone();
+        let out = sys.commit().unwrap();
+        assert_eq!(out.fired().len(), 1, "the commit's pass fires nothing more");
+        let pass = sys.stats().since(&before);
+        let per_rule = |r: &str| pass.per_rule.get(r).map_or(0, |t| t.considered);
+        assert_eq!(pass.rules_considered, per_rule("watcher_u"), "watcher_t is not triggered");
+        pass.rules_considered
+    };
+    // §4.2 default: watcher_u's window still holds the u-inserts, so the
+    // commit's pass considers it (false) once more.
+    assert_eq!(reconsidered_at_commit(RetriggerSemantics::SinceLastAction), 1);
+    // Footnote 8: the false consideration restarted its window.
+    assert_eq!(reconsidered_at_commit(RetriggerSemantics::SinceLastConsidered), 0);
+}
